@@ -17,7 +17,7 @@ use automodel_bench::report::{fmt_score, Table};
 use automodel_bench::{PipelineCache, Scale};
 use automodel_core::udr::UdrConfig;
 use automodel_core::AutoWekaConfig;
-use automodel_hpo::Budget;
+use automodel_hpo::{Budget, Executor};
 use automodel_ml::{cross_val_accuracy, Registry};
 use automodel_trace::TraceEvent;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ fn main() {
     );
     let mut summary: Vec<(String, String, f64, usize)> = Vec::new(); // (budget, method, sum, wins)
 
-    let executor = automodel_hpo::Executor::new(scale.threads());
+    let executor = Executor::new(scale.threads());
     for (budget_name, budget) in [("small", &small_budget), ("large", &large_budget)] {
         // One independent cell per dataset — fan them out on the executor;
         // every solver call is seeded per-cell, so results are identical at
@@ -85,12 +85,17 @@ fn main() {
                 let mut cache_hits = 0u64;
                 let mut cache_misses = 0u64;
                 for rep in 0..reps {
-                    // Auto-Model: UDR with the given tuning budget.
+                    // Auto-Model: UDR with the given tuning budget. Its
+                    // tuning runs serial like Auto-Weka's SMAC-lite: under
+                    // a wall-clock budget a wider pool would buy it more
+                    // compute than its rival, and it would nest inside the
+                    // cell executor.
                     let udr = UdrConfig {
                         tuning_budget: budget.clone(),
                         eval_time_threshold: Duration::from_millis(400),
                         cv_folds: folds,
                         seed: 1000 + rep as u64,
+                        executor: Executor::serial(),
                         ..UdrConfig::fast()
                     };
                     if let Ok(am) = udr.solve(dmd_ref, data) {

@@ -17,7 +17,8 @@ pub enum CoreError {
     NothingApplicable(String),
     /// The optimizer returned no trials (zero budget).
     EmptySearch,
-    /// Every trial of a search failed; carries the last trial's failure.
+    /// Every trial of a search failed; carries the failure of the failed
+    /// config that sorts first, whatever order the workers failed in.
     Trial(TrialFailure),
     /// Wrapped classification-substrate error.
     Ml(automodel_ml::MlError),
@@ -45,7 +46,7 @@ impl fmt::Display for CoreError {
                 write!(f, "no registered algorithm can process dataset '{d}'")
             }
             CoreError::EmptySearch => write!(f, "optimizer returned no trials (budget too small?)"),
-            CoreError::Trial(e) => write!(f, "every trial failed; last failure: {e}"),
+            CoreError::Trial(e) => write!(f, "every trial failed; first by config: {e}"),
             CoreError::Ml(e) => write!(f, "classification substrate: {e}"),
             CoreError::Env(e) => write!(f, "environment: {e}"),
         }

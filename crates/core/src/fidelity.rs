@@ -22,8 +22,12 @@
 
 use crate::autoweka::AutoWekaConfig;
 use automodel_data::{stratified_nested_rows, DataError, Dataset};
-use automodel_hpo::{Config, Fidelity, FidelityObjective, ParamValue, TrialFailure, TrialOutcome};
+use automodel_hpo::{
+    BatchFidelityObjective, Config, Fidelity, FidelityObjective, ParamValue, TrialFailure,
+    TrialOutcome,
+};
 use automodel_ml::{cross_val_accuracy, AlgorithmSpec, Registry};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -70,39 +74,74 @@ impl fmt::Display for InnerOptimizer {
 /// the probe or CV RNG streams.
 const SUBSET_SALT: u64 = 0x51D;
 
-/// Memoized fidelity subsets of one dataset. Keyed by the reduced row
-/// fraction, so every evaluation at a fraction — across rungs, brackets
-/// and optimizers — sees the identical rows.
+/// Memoized fidelity subsets of one dataset, shared by every worker of a
+/// batch. Keyed by the reduced row fraction, so every evaluation at a
+/// fraction — across rungs, brackets, optimizers and threads — sees the
+/// identical rows. A subset is a pure function of `(data, fraction,
+/// seed)`, so which worker builds it first cannot change its rows.
 struct SubsetMemo {
-    subsets: BTreeMap<(u32, u32), Dataset>,
+    subsets: Mutex<BTreeMap<(u32, u32), Arc<Dataset>>>,
 }
 
 impl SubsetMemo {
     fn new() -> SubsetMemo {
         SubsetMemo {
-            subsets: BTreeMap::new(),
+            subsets: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The dataset to evaluate on at `fidelity` (`data` itself at the
-    /// full row fraction).
-    fn at<'a>(
-        &'a mut self,
-        data: &'a Dataset,
+    /// The rows to evaluate on at `fidelity`: `None` at the full row
+    /// fraction (evaluate on `data` itself), else the memoized subset.
+    /// The lock covers only the lookup and a first build, never a trial.
+    fn at(
+        &self,
+        data: &Dataset,
         fidelity: &Fidelity,
         seed: u64,
-    ) -> Result<&'a Dataset, DataError> {
+    ) -> Result<Option<Arc<Dataset>>, DataError> {
         if fidelity.num() == fidelity.den() {
-            return Ok(data);
+            return Ok(None);
         }
         let key = (fidelity.num(), fidelity.den());
-        match self.subsets.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => Ok(e.into_mut()),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let rows = stratified_nested_rows(data, key.0, key.1, seed ^ SUBSET_SALT);
-                Ok(e.insert(data.subset(&rows)?))
+        let mut subsets = self.subsets.lock();
+        if let Some(subset) = subsets.get(&key) {
+            return Ok(Some(Arc::clone(subset)));
+        }
+        let rows = stratified_nested_rows(data, key.0, key.1, seed ^ SUBSET_SALT);
+        let subset = Arc::new(data.subset(&rows)?);
+        subsets.insert(key, Arc::clone(&subset));
+        Ok(Some(subset))
+    }
+}
+
+/// The failure an all-failed search reports, chosen by a rule that does
+/// not depend on worker scheduling: of every failed evaluation, the one
+/// with the smallest key (config, plus fidelity where it varies). Under
+/// an evaluation-count budget the evaluated set is the same at any
+/// thread count, so the report is too.
+#[derive(Default)]
+pub(crate) struct FailureLog {
+    smallest: Mutex<Option<(String, TrialFailure)>>,
+}
+
+impl FailureLog {
+    /// Turn an evaluation error into a failed outcome, keeping its
+    /// failure when `key` sorts before every failure seen so far.
+    pub(crate) fn fail(&self, key: impl FnOnce() -> String, message: String) -> TrialOutcome {
+        let outcome = TrialOutcome::Diverged(message);
+        if let Some(failure) = outcome.failure() {
+            let key = key();
+            let mut smallest = self.smallest.lock();
+            if smallest.as_ref().is_none_or(|(k, _)| key < *k) {
+                *smallest = Some((key, failure));
             }
         }
+        outcome
+    }
+
+    /// The reported failure, if any evaluation failed.
+    pub(crate) fn get(&self) -> Option<TrialFailure> {
+        self.smallest.lock().as_ref().map(|(_, f)| f.clone())
     }
 }
 
@@ -140,18 +179,24 @@ fn capped_config(spec: &dyn AlgorithmSpec, config: &Config, fidelity: &Fidelity)
     config.clone().with(param, ParamValue::Int(iters))
 }
 
+/// The failure key of an evaluation at a fidelity.
+fn failure_key(config: &Config, fidelity: &Fidelity) -> String {
+    format!("{config} @ {fidelity}")
+}
+
 /// The single-algorithm tuning objective `f(λ, SA, I)` *at a fidelity*:
 /// UDR's [`CvObjective`](crate::udr) with the three cost levers applied.
-/// Evaluation errors become failed [`TrialOutcome`]s; the last failure is
-/// kept so an all-failed search can explain itself.
+/// Shared by every worker of a batch (the subset memo is shared too, so
+/// concurrent trials read the same rows). Evaluation errors become failed
+/// [`TrialOutcome`]s; see [`FidelityCvObjective::failure`] for the one an
+/// all-failed search reports.
 pub struct FidelityCvObjective<'a> {
     spec: &'a Arc<dyn AlgorithmSpec>,
     data: &'a Dataset,
     folds: usize,
     seed: u64,
     memo: SubsetMemo,
-    /// Most recent evaluation failure (for error reporting upstream).
-    pub last_failure: Option<TrialFailure>,
+    failures: FailureLog,
 }
 
 impl<'a> FidelityCvObjective<'a> {
@@ -167,46 +212,57 @@ impl<'a> FidelityCvObjective<'a> {
             folds,
             seed,
             memo: SubsetMemo::new(),
-            last_failure: None,
+            failures: FailureLog::default(),
+        }
+    }
+
+    /// The failure of the smallest-keyed failed evaluation so far (for
+    /// error reporting upstream); independent of the thread count.
+    pub fn failure(&self) -> Option<TrialFailure> {
+        self.failures.get()
+    }
+}
+
+impl BatchFidelityObjective for FidelityCvObjective<'_> {
+    fn evaluate_at(&self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
+        let spec = self.spec;
+        let seed = self.seed;
+        let fail = |message: String| {
+            self.failures
+                .fail(|| failure_key(config, fidelity), message)
+        };
+        let subset = match self.memo.at(self.data, fidelity, seed) {
+            Ok(subset) => subset,
+            Err(e) => return fail(e.to_string()),
+        };
+        let rows = subset.as_deref().unwrap_or(self.data);
+        let folds = folds_at(self.folds, fidelity);
+        let tuned = capped_config(spec.as_ref(), config, fidelity);
+        match cross_val_accuracy(|| spec.build(&tuned, seed), rows, folds, seed) {
+            Ok(score) => TrialOutcome::from_score(score),
+            Err(e) => fail(e.to_string()),
         }
     }
 }
 
+/// The serial view of the same objective, for callers that evaluate one
+/// trial at a time.
 impl FidelityObjective for FidelityCvObjective<'_> {
     fn evaluate_at(&mut self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
-        let spec = self.spec;
-        let seed = self.seed;
-        let subset = match self.memo.at(self.data, fidelity, seed) {
-            Ok(d) => d,
-            Err(e) => {
-                let outcome = TrialOutcome::Diverged(e.to_string());
-                self.last_failure = outcome.failure();
-                return outcome;
-            }
-        };
-        let folds = folds_at(self.folds, fidelity);
-        let tuned = capped_config(spec.as_ref(), config, fidelity);
-        match cross_val_accuracy(|| spec.build(&tuned, seed), subset, folds, seed) {
-            Ok(score) => TrialOutcome::from_score(score),
-            Err(e) => {
-                let outcome = TrialOutcome::Diverged(e.to_string());
-                self.last_failure = outcome.failure();
-                outcome
-            }
-        }
+        BatchFidelityObjective::evaluate_at(&*self, config, fidelity)
     }
 }
 
 /// The hierarchical CASH objective *at a fidelity* — the Auto-Weka
-/// baseline's objective with the same three cost levers.
+/// baseline's objective with the same three cost levers, shared by every
+/// worker of a batch like [`FidelityCvObjective`].
 pub struct FidelityCashObjective<'a> {
     registry: &'a Registry,
     data: &'a Dataset,
     folds: usize,
     seed: u64,
     memo: SubsetMemo,
-    /// Most recent evaluation failure (for error reporting upstream).
-    pub last_failure: Option<TrialFailure>,
+    failures: FailureLog,
 }
 
 impl<'a> FidelityCashObjective<'a> {
@@ -222,42 +278,40 @@ impl<'a> FidelityCashObjective<'a> {
             folds,
             seed,
             memo: SubsetMemo::new(),
-            last_failure: None,
+            failures: FailureLog::default(),
         }
+    }
+
+    /// The failure of the smallest-keyed failed evaluation so far.
+    pub fn failure(&self) -> Option<TrialFailure> {
+        self.failures.get()
     }
 }
 
-impl FidelityObjective for FidelityCashObjective<'_> {
-    fn evaluate_at(&mut self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
+impl BatchFidelityObjective for FidelityCashObjective<'_> {
+    fn evaluate_at(&self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
+        let fail = |message: String| {
+            self.failures
+                .fail(|| failure_key(config, fidelity), message)
+        };
         let Some((name, sub)) = AutoWekaConfig::split_config(self.registry, self.data, config)
         else {
-            let outcome = TrialOutcome::Diverged("config names no applicable algorithm".into());
-            self.last_failure = outcome.failure();
-            return outcome;
+            return fail("config names no applicable algorithm".into());
         };
         let Some(spec) = self.registry.get(&name) else {
-            let outcome = TrialOutcome::Diverged(format!("algorithm '{name}' is not registered"));
-            self.last_failure = outcome.failure();
-            return outcome;
+            return fail(format!("algorithm '{name}' is not registered"));
         };
         let seed = self.seed;
         let subset = match self.memo.at(self.data, fidelity, seed) {
-            Ok(d) => d,
-            Err(e) => {
-                let outcome = TrialOutcome::Diverged(e.to_string());
-                self.last_failure = outcome.failure();
-                return outcome;
-            }
+            Ok(subset) => subset,
+            Err(e) => return fail(e.to_string()),
         };
+        let rows = subset.as_deref().unwrap_or(self.data);
         let folds = folds_at(self.folds, fidelity);
         let tuned = capped_config(spec.as_ref(), &sub, fidelity);
-        match cross_val_accuracy(|| spec.build(&tuned, seed), subset, folds, seed) {
+        match cross_val_accuracy(|| spec.build(&tuned, seed), rows, folds, seed) {
             Ok(score) => TrialOutcome::from_score(score),
-            Err(e) => {
-                let outcome = TrialOutcome::Diverged(e.to_string());
-                self.last_failure = outcome.failure();
-                outcome
-            }
+            Err(e) => fail(e.to_string()),
         }
     }
 }
@@ -321,20 +375,19 @@ mod tests {
     #[test]
     fn subset_memo_is_stable_and_keeps_full_data_untouched() {
         let data = SynthSpec::new("m", 90, 3, 0, 2, SynthFamily::Hyperplane, 8).generate();
-        let mut memo = SubsetMemo::new();
-        let full = memo.at(&data, &Fidelity::full(), 7).unwrap();
-        assert_eq!(full.n_rows(), 90);
-        let n_third = memo
+        let memo = SubsetMemo::new();
+        assert!(memo.at(&data, &Fidelity::full(), 7).unwrap().is_none());
+        let third = memo
             .at(&data, &Fidelity::fraction(1, 3), 7)
             .unwrap()
-            .n_rows();
-        assert!((30..90).contains(&n_third), "n = {n_third}");
+            .unwrap();
+        assert!((30..90).contains(&third.n_rows()), "n = {}", third.n_rows());
         // Memoized: the same fraction returns the identical subset.
         let again = memo
             .at(&data, &Fidelity::fraction(1, 3), 7)
             .unwrap()
-            .n_rows();
-        assert_eq!(n_third, again);
+            .unwrap();
+        assert!(Arc::ptr_eq(&third, &again));
     }
 
     #[test]
@@ -342,10 +395,10 @@ mod tests {
         let registry = Registry::fast();
         let spec = registry.require("IBk").unwrap().clone();
         let data = SynthSpec::new("f", 120, 3, 0, 2, SynthFamily::Hyperplane, 5).generate();
-        let mut obj = FidelityCvObjective::new(&spec, &data, 3, 0);
+        let obj = FidelityCvObjective::new(&spec, &data, 3, 0);
         let config = spec.default_config();
-        let low = obj.evaluate_at(&config, &Fidelity::fraction(1, 9));
-        let full = obj.evaluate_at(&config, &Fidelity::full());
+        let low = BatchFidelityObjective::evaluate_at(&obj, &config, &Fidelity::fraction(1, 9));
+        let full = BatchFidelityObjective::evaluate_at(&obj, &config, &Fidelity::full());
         assert!(low.score().is_some(), "low-fidelity eval failed: {low:?}");
         assert!(full.score().is_some(), "full eval failed: {full:?}");
     }

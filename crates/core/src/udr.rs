@@ -9,12 +9,12 @@
 
 use crate::dmd::Dmd;
 use crate::error::CoreError;
-use crate::fidelity::{FidelityCvObjective, InnerOptimizer};
+use crate::fidelity::{FailureLog, FidelityCvObjective, InnerOptimizer};
 use automodel_data::Dataset;
 use automodel_hpo::{
-    BatchGate, BayesianOptimization, Budget, CheckpointSink, Clock, Config, GaConfig,
-    GeneticAlgorithm, Hyperband, MonotonicClock, Objective, Optimizer, OptimizerBuilder,
-    SuccessiveHalving, TrialCache, TrialFailure, TrialOutcome, TrialPolicy,
+    BatchGate, BatchObjective, BayesianOptimization, Budget, CheckpointSink, Clock, Config,
+    Executor, GaConfig, GeneticAlgorithm, Hyperband, MonotonicClock, Objective, Optimizer,
+    OptimizerBuilder, SuccessiveHalving, TrialCache, TrialOutcome, TrialPolicy,
 };
 use automodel_ml::{cross_val_accuracy, AlgorithmSpec, Registry};
 use automodel_trace::{TraceEvent, Tracer};
@@ -44,32 +44,42 @@ pub struct Solution {
 
 /// The tuning objective `f(λ, SA, I)` with trial-failure reporting: an
 /// evaluation error becomes a failed [`TrialOutcome`] (quarantined by the
-/// optimizer) instead of silently scoring 0, and the last failure is kept so
-/// an all-failed search can explain itself.
+/// optimizer) instead of silently scoring 0, and the smallest-keyed
+/// failure is kept so an all-failed search can explain itself the same
+/// way at any thread count. Shared by every worker of a batch.
 struct CvObjective<'a> {
     spec: &'a Arc<dyn AlgorithmSpec>,
     data: &'a Dataset,
     folds: usize,
     seed: u64,
-    last_failure: Option<TrialFailure>,
+    failures: FailureLog,
 }
 
-impl Objective for CvObjective<'_> {
-    fn evaluate(&mut self, config: &Config) -> f64 {
-        self.evaluate_outcome(config).score().unwrap_or(0.0)
+impl BatchObjective for CvObjective<'_> {
+    fn evaluate(&self, config: &Config) -> f64 {
+        BatchObjective::evaluate_outcome(self, config)
+            .score()
+            .unwrap_or(0.0)
     }
 
-    fn evaluate_outcome(&mut self, config: &Config) -> TrialOutcome {
+    fn evaluate_outcome(&self, config: &Config) -> TrialOutcome {
         let spec = self.spec;
         let seed = self.seed;
         match cross_val_accuracy(|| spec.build(config, seed), self.data, self.folds, seed) {
             Ok(score) => TrialOutcome::from_score(score),
-            Err(e) => {
-                let outcome = TrialOutcome::Diverged(e.to_string());
-                self.last_failure = outcome.failure();
-                outcome
-            }
+            Err(e) => self.failures.fail(|| config.to_string(), e.to_string()),
         }
+    }
+}
+
+/// BO's serial entry point.
+impl Objective for CvObjective<'_> {
+    fn evaluate(&mut self, config: &Config) -> f64 {
+        BatchObjective::evaluate(&*self, config)
+    }
+
+    fn evaluate_outcome(&mut self, config: &Config) -> TrialOutcome {
+        BatchObjective::evaluate_outcome(&*self, config)
     }
 }
 
@@ -116,6 +126,13 @@ pub struct UdrConfig {
     /// Pre-batch admission gate forwarded to the tuning optimizer
     /// (default: none). Timing only — see [`BatchGate`].
     pub gate: Option<Arc<dyn BatchGate>>,
+    /// The pool the GA, SHA and Hyperband tuning searches score their
+    /// batches on, one trial per task (BO has no batch path and stays
+    /// serial). The trial history is identical at any width. Default:
+    /// [`Executor::from_env_or_default`]; callers that already run many
+    /// tunes side by side (the server's sessions, Table X's cells) pin
+    /// [`Executor::serial`].
+    pub executor: Executor,
 }
 
 impl std::fmt::Debug for UdrConfig {
@@ -126,6 +143,7 @@ impl std::fmt::Debug for UdrConfig {
             .field("eval_time_threshold", &self.eval_time_threshold)
             .field("cv_folds", &self.cv_folds)
             .field("seed", &self.seed)
+            .field("executor", &self.executor)
             .finish_non_exhaustive() // probe_clock: Arc<dyn Clock> is opaque
     }
 }
@@ -147,6 +165,7 @@ impl UdrConfig {
             optimizer: InnerOptimizer::Auto,
             policy: None,
             gate: None,
+            executor: Executor::from_env_or_default(),
         }
     }
 
@@ -166,6 +185,7 @@ impl UdrConfig {
             optimizer: InnerOptimizer::Auto,
             policy: None,
             gate: None,
+            executor: Executor::from_env_or_default(),
         }
     }
 
@@ -187,6 +207,13 @@ impl UdrConfig {
     /// committed state at every batch boundary.
     pub fn with_checkpoint(mut self, sink: Arc<dyn CheckpointSink>) -> UdrConfig {
         self.checkpoint = Some(sink);
+        self
+    }
+
+    /// Run the tuning search on `executor` instead of the
+    /// `AUTOMODEL_THREADS`-sized default.
+    pub fn with_executor(mut self, executor: Executor) -> UdrConfig {
+        self.executor = executor;
         self
     }
 
@@ -283,7 +310,7 @@ impl UdrConfig {
             data,
             folds,
             seed,
-            last_failure: None,
+            failures: FailureLog::default(),
         };
 
         let policy = self.effective_policy()?;
@@ -308,7 +335,7 @@ impl UdrConfig {
             if let Some(gate) = &self.gate {
                 ga = ga.with_gate(Arc::clone(gate));
             }
-            ga.optimize(&space, &mut objective, &self.tuning_budget)
+            ga.optimize_batch(&space, &objective, &self.tuning_budget, &self.executor)
         } else {
             let mut bo = BayesianOptimization::new(seed)
                 .with_policy(policy)
@@ -346,8 +373,8 @@ impl UdrConfig {
                 });
             }
             // Non-empty space: either no trial ran (zero budget) or every
-            // trial failed — surface the last failure in the latter case.
-            return Err(match objective.last_failure.take() {
+            // trial failed — surface the smallest-keyed failure then.
+            return Err(match objective.failures.get() {
                 Some(failure) => CoreError::Trial(failure),
                 None => CoreError::EmptySearch,
             });
@@ -381,7 +408,7 @@ impl UdrConfig {
     ) -> Result<Solution, CoreError> {
         let seed = self.seed;
         let folds = self.cv_folds;
-        let mut objective = FidelityCvObjective::new(spec, data, folds, seed);
+        let objective = FidelityCvObjective::new(spec, data, folds, seed);
         let policy = self.effective_policy()?;
         let traced = self.tracer.is_enabled();
         if traced {
@@ -399,7 +426,7 @@ impl UdrConfig {
                 if let Some(gate) = &self.gate {
                     sha = sha.with_gate(Arc::clone(gate));
                 }
-                sha.optimize_fidelity(space, &mut objective, &self.tuning_budget)
+                sha.optimize_fidelity_batch(space, &objective, &self.tuning_budget, &self.executor)
             }
             InnerOptimizer::Hyperband => {
                 let mut hb = Hyperband::new(seed)
@@ -412,7 +439,7 @@ impl UdrConfig {
                 if let Some(gate) = &self.gate {
                     hb = hb.with_gate(Arc::clone(gate));
                 }
-                hb.optimize_fidelity(space, &mut objective, &self.tuning_budget)
+                hb.optimize_fidelity_batch(space, &objective, &self.tuning_budget, &self.executor)
             }
             // tune() already dispatched Auto to the probe-routed path.
             // lint:allow(no-panic-lib): `tune` only dispatches here when optimizer != Auto
@@ -440,7 +467,7 @@ impl UdrConfig {
                     cache_misses: 0,
                 });
             }
-            return Err(match objective.last_failure.take() {
+            return Err(match objective.failure() {
                 Some(failure) => CoreError::Trial(failure),
                 None => CoreError::EmptySearch,
             });

@@ -2,6 +2,7 @@
 
 use crate::budget::SharedBudget;
 use crate::env::threads_from_env;
+use crate::fault::catch_payload;
 use automodel_trace::EnvError;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -10,7 +11,9 @@ use std::sync::Arc;
 /// A fixed-width pool of scoped workers that evaluates index-addressed
 /// batches with ordered reduction. Cheap to construct (threads are spawned
 /// per batch and joined before `map*` returns — no idle pool to manage),
-/// cheap to clone, and safe to share.
+/// cheap to clone, and safe to share. The calling thread is worker 0: a
+/// batch of width `w` spawns `w - 1` threads, and the caller claims tasks
+/// alongside them until the queue drains.
 ///
 /// Determinism contract: for a task function `f` that is deterministic in
 /// its index, `map` (and `map_budgeted` under an evaluation-count budget)
@@ -124,41 +127,45 @@ impl Executor {
         let stop = AtomicBool::new(false);
         let active = AtomicUsize::new(0);
         let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(allowed));
+        let claim_loop = || {
+            let mut ran = false;
+            loop {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                if budget.is_some_and(|b| b.exhausted()) {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= allowed {
+                    break;
+                }
+                if !ran {
+                    ran = true;
+                    active.fetch_add(1, Ordering::Relaxed);
+                }
+                // A claimed index is always evaluated (budget checks
+                // happen strictly before the claim), so the executed set
+                // stays a contiguous prefix — no holes.
+                let value = f(idx);
+                slots.lock().push((idx, value));
+            }
+        };
         let result = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut ran = false;
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if budget.is_some_and(|b| b.exhausted()) {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= allowed {
-                                break;
-                            }
-                            if !ran {
-                                ran = true;
-                                active.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // A claimed index is always evaluated (budget
-                            // checks happen strictly before the claim), so
-                            // the executed set stays a contiguous prefix —
-                            // no holes.
-                            let value = f(idx);
-                            slots.lock().push((idx, value));
-                        }
-                    })
-                })
+            // The calling thread is worker 0: spawn `workers - 1` helpers
+            // and run the same claim loop here instead of idling in the
+            // join below.
+            let handles: Vec<_> = (1..workers)
+                .map(|_| scope.spawn(|_| claim_loop()))
                 .collect();
+            let mut panicked = catch_payload(claim_loop).err();
+            if panicked.is_some() {
+                stop.store(true, Ordering::Relaxed);
+            }
             // Join explicitly to recover the original panic payload (an
             // unjoined scoped thread would surface only as a generic
             // "a scoped thread panicked").
-            let mut panicked = None;
             for handle in handles {
                 if let Err(payload) = handle.join() {
                     stop.store(true, Ordering::Relaxed);
@@ -306,6 +313,99 @@ mod tests {
         // A one-task batch cannot lower the recorded peak.
         pair.map(1, |i| i);
         assert_eq!(pair.peak_workers(), 2);
+    }
+
+    /// Spin until `flag` is set or `deadline` passes (so a broken executor
+    /// fails the calling test instead of hanging it).
+    fn wait_for(flag: &AtomicBool, deadline: std::time::Instant) {
+        while !flag.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the caller's own task exploded")]
+    fn caller_panic_propagates_with_its_payload() {
+        // Helper tasks park until the calling thread has claimed one, so
+        // the caller is guaranteed a share — and its task is the one that
+        // panics.
+        let caller = std::thread::current().id();
+        let caller_claimed = AtomicBool::new(false);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        Executor::new(4).map(64, |i| {
+            if std::thread::current().id() == caller {
+                caller_claimed.store(true, Ordering::SeqCst);
+                panic!("the caller's own task exploded");
+            }
+            wait_for(&caller_claimed, deadline);
+            i
+        });
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero_and_peak_workers_counts_it() {
+        // Width 2 spawns one helper; both tasks wait until both are held,
+        // so the caller must hold one of them.
+        let caller = std::thread::current().id();
+        let pool = Executor::new(2);
+        let waiting = AtomicUsize::new(0);
+        let ran_on_caller = pool.map(2, |_| {
+            waiting.fetch_add(1, Ordering::SeqCst);
+            while waiting.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            std::thread::current().id() == caller
+        });
+        assert_eq!(ran_on_caller.iter().filter(|&&c| c).count(), 1);
+        assert_eq!(pool.peak_workers(), 2);
+
+        // A width-w batch runs on the caller plus at most w - 1 helpers.
+        let ids = Mutex::new(Vec::new());
+        Executor::new(3).map(64, |i| {
+            let id = std::thread::current().id();
+            let mut ids = ids.lock();
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+            drop(ids);
+            std::thread::sleep(Duration::from_micros(200));
+            i
+        });
+        let ids = ids.into_inner();
+        assert!(ids.contains(&caller), "the caller claimed no task");
+        assert!(ids.len() <= 3, "{} distinct workers", ids.len());
+    }
+
+    #[test]
+    fn map_budgeted_runs_a_contiguous_prefix_with_the_caller_in_the_pool() {
+        // An eval-count budget caps the prefix exactly, and target / clock
+        // stops leave an index-ordered prefix, at widths where the caller
+        // claims tasks alongside its helpers.
+        for threads in [2, 3, 8] {
+            let budget = SharedBudget::new(BudgetSpec::evals(7), Arc::new(ManualClock::new()));
+            let out = Executor::new(threads).map_budgeted(40, &budget, |i| {
+                std::thread::sleep(Duration::from_micros(100));
+                budget.record(0.0);
+                i
+            });
+            assert_eq!(out, (0..7).collect::<Vec<_>>(), "threads = {threads}");
+
+            let budget = SharedBudget::new(
+                BudgetSpec::default().with_target(0.5),
+                Arc::new(ManualClock::new()),
+            );
+            let out = Executor::new(threads).map_budgeted(200, &budget, |i| {
+                std::thread::sleep(Duration::from_micros(100));
+                budget.record(if i >= 10 { 1.0 } else { 0.0 });
+                i
+            });
+            assert!(out.len() >= 11 && out.len() < 200, "len = {}", out.len());
+            assert_eq!(
+                out,
+                (0..out.len()).collect::<Vec<_>>(),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! This module is the single containment point:
 //!
 //! * [`TrialOutcome`] — the closed taxonomy of how one trial can end.
-//! * [`contain`] — the only `catch_unwind` in the workspace (the
-//!   `no-adhoc-catch-unwind` lint, L7, bans it everywhere outside
+//! * [`contain`] — the trial side of the workspace's only `catch_unwind`
+//!   (the `no-adhoc-catch-unwind` lint, L7, bans it everywhere outside
 //!   `crates/parallel`); converts a panicking evaluation into
-//!   [`TrialOutcome::Panicked`] with the payload preserved.
+//!   [`TrialOutcome::Panicked`] with the payload preserved. The executor
+//!   uses the same `catch_unwind` to run its calling thread as worker 0.
 //! * [`TrialPolicy`] / [`run_trial`] — bounded deterministic retries. Each
 //!   attempt draws its RNG stream from
 //!   [`seed_stream`]`(base, index, attempt)`, so attempt 0 replays the
@@ -130,12 +131,13 @@ impl std::error::Error for TrialFailure {}
 
 /// Run `f`, converting a panic into [`TrialOutcome::Panicked`].
 ///
-/// This is the workspace's only legal `catch_unwind` site (lint L7). The
-/// `AssertUnwindSafe` is justified because every caller hands in a closure
-/// whose captured state is either owned or discarded on failure: a failed
-/// trial's partial state is never observed again.
+/// With the executor's [`catch_payload`], this module holds the
+/// workspace's only `catch_unwind` (lint L7). The `AssertUnwindSafe` is
+/// justified because every caller hands in a closure whose captured state
+/// is either owned or discarded on failure: a failed trial's partial state
+/// is never observed again.
 pub fn contain<F: FnOnce() -> TrialOutcome>(f: F) -> TrialOutcome {
-    match catch_unwind(AssertUnwindSafe(f)) {
+    match catch_payload(f) {
         Ok(outcome) => outcome,
         Err(payload) => {
             let message = if let Some(s) = payload.downcast_ref::<String>() {
@@ -148,6 +150,15 @@ pub fn contain<F: FnOnce() -> TrialOutcome>(f: F) -> TrialOutcome {
             TrialOutcome::Panicked(message)
         }
     }
+}
+
+/// Run `f`, handing back a panic's original payload instead of
+/// classifying it: the executor's calling thread runs its share of a
+/// batch through this and re-raises the payload once the other workers
+/// have joined. Same `AssertUnwindSafe` argument as [`contain`]: a
+/// panicking batch is abandoned, its partial results never observed.
+pub(crate) fn catch_payload<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    catch_unwind(AssertUnwindSafe(f))
 }
 
 /// Salt separating the fault draws so one trial index (or IO operation

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use automodel_core::{Dmd, DmdArtifact, UdrConfig};
 use automodel_data::csv::read_csv;
 use automodel_data::Dataset;
-use automodel_hpo::{BatchGate, Budget, ManualClock};
+use automodel_hpo::{BatchGate, Budget, Executor, ManualClock};
 use automodel_ml::Registry;
 use automodel_parallel::{CacheSnapshot, TrialCache};
 use automodel_store::{
@@ -243,6 +243,10 @@ impl Server {
         // a load-dependent GA-vs-BO flip would break session identity.
         // At time zero the probe is "fast", so `auto` routes to the GA.
         udr.probe_clock = Arc::new(ManualClock::new());
+        // A session is the server's unit of concurrency: concurrent
+        // connections already fill the cores, and a millisecond-scale
+        // session cannot absorb a thread spawn per trial batch.
+        udr.executor = Executor::serial();
 
         if let Some(sink) = self.recovery(request, &cache)? {
             udr = udr.with_checkpoint(sink);

@@ -50,6 +50,13 @@ echo "==> cargo test --workspace (every member crate's suites)"
 # the lint fixtures.
 cargo test -q --workspace
 
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (the repository benchmark)"
+# perfbench is a package of its own (empty [workspace]), so neither stage
+# above builds it, yet it compiles against the library's public API
+# (FidelityCvObjective, Network::loss_and_grad_threaded, ...). Build it and
+# run its unit tests so an API change cannot silently break the benchmark.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (AUTOMODEL_THREADS=1 — serial determinism replay)"
 AUTOMODEL_THREADS=1 cargo test -q
 

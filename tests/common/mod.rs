@@ -1,8 +1,9 @@
 //! Shared harness for the integration suites (`tests/determinism.rs`,
-//! `tests/fault_injection.rs`, `tests/trace_oracle.rs`): one search space,
-//! one fitness function, one canonical byte serialization and one set of
-//! containment assertions, so the suites cannot drift apart on what "the
-//! same run" means.
+//! `tests/fault_injection.rs`, `tests/trace_oracle.rs`,
+//! `tests/multifidelity_oracle.rs`): one search space, one fitness
+//! function (plus its paced twin for multi-worker runs), one canonical
+//! byte serialization and one set of containment assertions, so the
+//! suites cannot drift apart on what "the same run" means.
 //!
 //! Each integration-test binary compiles this module independently and uses
 //! a different subset of it.
@@ -23,6 +24,21 @@ pub fn space() -> SearchSpace {
 /// Deterministic, instant fitness over [`space`].
 pub fn fitness(c: &Config) -> f64 {
     c.float_or("lr", 0.0) + c.int_or("depth", 0) as f64 / 16.0
+}
+
+/// [`fitness`] with a fixed pause per call. An instant objective lets the
+/// executor's calling thread drain a batch before its helper threads
+/// start, so a "same bytes at 1 and N threads" run would compare a serial
+/// run with itself; the pause makes every batch spread over the pool. It
+/// changes no score.
+pub fn paced_fitness(c: &Config) -> f64 {
+    pace();
+    fitness(c)
+}
+
+/// The pause [`paced_fitness`] takes.
+pub fn pace() {
+    std::thread::sleep(std::time::Duration::from_micros(500));
 }
 
 /// Canonical bytes for a run: every trial's index, serialized config,

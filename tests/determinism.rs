@@ -485,3 +485,213 @@ fn dmd_build_is_byte_identical_at_1_2_and_8_threads() {
         );
     }
 }
+
+// ---- UDR: the online tuning searches run on the executor ----
+
+use auto_model::core::{CoreError, InnerOptimizer};
+use auto_model::hpo::{Config, Domain, ManualClock, ParamValue, SearchSpace};
+use auto_model::ml::{AlgorithmSpec, Classifier, Family, MlError};
+use auto_model::prelude::{
+    AutoWekaConfig, Dataset, Registry, Solution, SynthFamily, SynthSpec, UdrConfig,
+};
+use std::time::Duration;
+
+/// Every field of a [`Solution`], the score as exact bits.
+fn solution_bytes(s: &Solution) -> String {
+    format!(
+        "{}|{}|{:016x}|{}|trials={}|quarantined={}|hits={}|misses={}",
+        s.algorithm,
+        s.config,
+        s.score.to_bits(),
+        s.technique,
+        s.trials,
+        s.quarantined,
+        s.cache_hits,
+        s.cache_misses
+    )
+}
+
+/// A UDR for `optimizer` on `executor`: traced in memory, own cache, probe
+/// clock pinned so `auto` routes to the GA, and the full Hyperband grid.
+fn udr_for(
+    optimizer: InnerOptimizer,
+    executor: &Executor,
+    cache: &Arc<TrialCache>,
+    tracer: Tracer,
+) -> UdrConfig {
+    let mut udr = UdrConfig::fast()
+        .with_optimizer(optimizer)
+        .with_cache(Arc::clone(cache))
+        .with_tracer(Arc::new(tracer))
+        .with_executor(executor.clone());
+    udr.probe_clock = Arc::new(ManualClock::new());
+    if optimizer == InnerOptimizer::Hyperband {
+        udr.tuning_budget = Budget::evals(69);
+    }
+    udr
+}
+
+/// One traced `tune` of Bagging (an ensemble, so a trial costs enough
+/// that every batch spreads over the pool): the solution, the trace bytes
+/// and the cache counters.
+fn udr_tune(optimizer: InnerOptimizer, data: &Dataset, executor: &Executor) -> [String; 3] {
+    let cache = Arc::new(TrialCache::default());
+    let (tracer, handle) = Tracer::in_memory();
+    let solution = udr_for(optimizer, executor, &cache, tracer)
+        .tune(&Registry::fast(), "Bagging", data)
+        .expect("UDR tunes Bagging");
+    [
+        solution_bytes(&solution),
+        handle.contents(),
+        format!("{:?}", cache.stats()),
+    ]
+}
+
+/// UDR's GA (`auto`), SHA and Hyperband tuning score their batches on
+/// `UdrConfig::executor`; the tune must be the same bytes at any width,
+/// and the wider runs must really have used several workers.
+#[test]
+fn udr_tune_is_byte_identical_at_1_2_and_8_threads() {
+    let data = SynthSpec::new("udr", 200, 4, 1, 2, SynthFamily::Mixed, 31).generate();
+    for optimizer in [
+        InnerOptimizer::Auto,
+        InnerOptimizer::Sha,
+        InnerOptimizer::Hyperband,
+    ] {
+        let serial = udr_tune(optimizer, &data, &Executor::new(1));
+        assert!(serial[1].contains("\"ev\""), "{optimizer}: trace is empty");
+        for threads in [2usize, 8] {
+            let executor = Executor::new(threads);
+            let wide = udr_tune(optimizer, &data, &executor);
+            for (part, (a, b)) in ["solution", "trace", "cache stats"]
+                .iter()
+                .zip(serial.iter().zip(&wide))
+            {
+                assert_eq!(a, b, "{optimizer}: {threads}-thread {part} diverged");
+            }
+            assert!(
+                executor.peak_workers() > 1,
+                "{optimizer}: {threads}-thread tune ran every trial on one worker"
+            );
+        }
+    }
+}
+
+/// Auto-Weka's `sha` and `hyperband` paths score their rung chunks on
+/// `AutoWekaConfig::executor`, over the hierarchical CASH space.
+#[test]
+fn autoweka_multifidelity_is_byte_identical_at_1_2_and_8_threads() {
+    let registry = Registry::fast();
+    let data = SynthSpec::new("aw", 150, 3, 1, 2, SynthFamily::Mixed, 17).generate();
+    for optimizer in [InnerOptimizer::Sha, InnerOptimizer::Hyperband] {
+        let solve = |executor: &Executor| {
+            let (tracer, handle) = Tracer::in_memory();
+            let solution = AutoWekaConfig::fast()
+                .with_optimizer(optimizer)
+                .with_tracer(Arc::new(tracer))
+                .with_executor(executor.clone())
+                .solve(&registry, &data)
+                .expect("Auto-Weka solves");
+            (solution_bytes(&solution), handle.contents())
+        };
+        let serial = solve(&Executor::new(1));
+        for threads in [2usize, 8] {
+            let executor = Executor::new(threads);
+            assert_eq!(
+                serial,
+                solve(&executor),
+                "{optimizer}: {threads}-thread Auto-Weka solve diverged"
+            );
+            assert!(
+                executor.peak_workers() > 1,
+                "{optimizer}: {threads}-thread solve ran every trial on one worker"
+            );
+        }
+    }
+}
+
+/// An algorithm whose every fit fails, with a message naming the config,
+/// so an all-failed search has many distinct failures to choose from.
+struct Unfittable;
+
+struct FailingFit(String);
+
+impl Classifier for FailingFit {
+    fn fit(&mut self, _data: &Dataset, _rows: &[usize]) -> Result<(), MlError> {
+        // Long enough that a batch spreads over several workers.
+        std::thread::sleep(Duration::from_millis(1));
+        Err(MlError::TrainingFailed(format!("cannot fit {}", self.0)))
+    }
+
+    fn predict(&self, _data: &Dataset, _row: usize) -> usize {
+        0
+    }
+}
+
+impl AlgorithmSpec for Unfittable {
+    fn name(&self) -> &'static str {
+        "Unfittable"
+    }
+
+    fn family(&self) -> Family {
+        Family::Misc
+    }
+
+    fn param_space(&self) -> SearchSpace {
+        SearchSpace::builder()
+            .add("c", Domain::float(0.0, 1.0))
+            .add("k", Domain::int(1, 50))
+            .build()
+            .expect("space builds")
+    }
+
+    fn default_config(&self) -> Config {
+        Config::new()
+            .with("c", ParamValue::Float(0.5))
+            .with("k", ParamValue::Int(3))
+    }
+
+    fn build(&self, config: &Config, _seed: u64) -> Box<dyn Classifier> {
+        Box::new(FailingFit(config.to_string()))
+    }
+}
+
+/// An all-failed tune reports one of its many failures; which one must
+/// not depend on which worker failed last.
+#[test]
+fn all_failing_tune_reports_the_same_failure_at_1_2_and_8_threads() {
+    let mut registry = Registry::new();
+    registry.register(Arc::new(Unfittable));
+    let data = SynthSpec::new("fail", 60, 3, 0, 2, SynthFamily::Hyperplane, 5).generate();
+    for optimizer in [
+        InnerOptimizer::Auto,
+        InnerOptimizer::Sha,
+        InnerOptimizer::Hyperband,
+    ] {
+        let tune = |executor: &Executor| {
+            let cache = Arc::new(TrialCache::default());
+            let err = udr_for(optimizer, executor, &cache, Tracer::disabled())
+                .tune(&registry, "Unfittable", &data)
+                .expect_err("every trial fails");
+            assert!(
+                matches!(err, CoreError::Trial(_)),
+                "{optimizer}: expected a trial failure, got {err}"
+            );
+            err.to_string()
+        };
+        let serial = tune(&Executor::new(1));
+        assert!(serial.contains("cannot fit"), "{optimizer}: {serial}");
+        for threads in [2usize, 8] {
+            let executor = Executor::new(threads);
+            assert_eq!(
+                serial,
+                tune(&executor),
+                "{optimizer}: {threads}-thread failure report diverged"
+            );
+            assert!(
+                executor.peak_workers() > 1,
+                "{optimizer}: {threads}-thread tune ran every trial on one worker"
+            );
+        }
+    }
+}

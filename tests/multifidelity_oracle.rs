@@ -33,7 +33,7 @@ use auto_model::hpo::{
 };
 use auto_model::trace::{decode, TraceEvent, TraceRecord, Tracer};
 use common::{
-    assert_matches_golden, fitness, hostile_policy, quiet_injected_panics, space, trial_bytes,
+    assert_matches_golden, fitness, hostile_policy, pace, quiet_injected_panics, space, trial_bytes,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -43,6 +43,12 @@ use std::sync::Arc;
 /// proxy and every (config, fidelity) pair scores deterministically.
 fn mf_fitness(c: &Config, f: &Fidelity) -> f64 {
     fitness(c) * (0.5 + 0.5 * f.num() as f64 / f.den() as f64)
+}
+
+/// [`mf_fitness`] with the shared per-call pause, for the executor runs.
+fn paced_mf_fitness(c: &Config, f: &Fidelity) -> f64 {
+    pace();
+    mf_fitness(c, f)
 }
 
 fn canon(score: f64) -> f64 {
@@ -63,6 +69,7 @@ fn mf_run(
     quiet_injected_panics();
     let space = space();
     let (tracer, handle) = Tracer::in_memory();
+    let executor = threads.map(Executor::new);
     let out = {
         match kind {
             "sha" => {
@@ -72,9 +79,9 @@ fn mf_run(
                 if traced {
                     sha = sha.with_tracer(Arc::new(tracer));
                 }
-                match threads {
-                    Some(n) => {
-                        sha.optimize_fidelity_batch(&space, &mf_fitness, budget, &Executor::new(n))
+                match &executor {
+                    Some(executor) => {
+                        sha.optimize_fidelity_batch(&space, &paced_mf_fitness, budget, executor)
                     }
                     None => {
                         let mut obj = |c: &Config, f: &Fidelity| mf_fitness(c, f);
@@ -87,9 +94,9 @@ fn mf_run(
                 if traced {
                     hb = hb.with_tracer(Arc::new(tracer));
                 }
-                match threads {
-                    Some(n) => {
-                        hb.optimize_fidelity_batch(&space, &mf_fitness, budget, &Executor::new(n))
+                match &executor {
+                    Some(executor) => {
+                        hb.optimize_fidelity_batch(&space, &paced_mf_fitness, budget, executor)
                     }
                     None => {
                         let mut obj = |c: &Config, f: &Fidelity| mf_fitness(c, f);
@@ -101,6 +108,13 @@ fn mf_run(
         }
     }
     .expect("run yields an outcome");
+    if let Some(executor) = executor.filter(|e| e.threads() > 1) {
+        assert!(
+            executor.peak_workers() > 1,
+            "{kind}: {}-thread run scored every trial on one worker",
+            executor.threads()
+        );
+    }
     let raw = handle.contents();
     let records = if traced {
         decode(&raw).expect("captured trace decodes")

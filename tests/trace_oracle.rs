@@ -17,7 +17,7 @@ use auto_model::hpo::{
     Optimizer, OptimizerBuilder, SmacLite, TrialCache, TrialPolicy,
 };
 use auto_model::trace::{decode, TraceEvent, TraceRecord, Tracer};
-use common::{fitness, hostile_policy, quiet_injected_panics, space, trial_bytes};
+use common::{fitness, hostile_policy, paced_fitness, quiet_injected_panics, space, trial_bytes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -48,7 +48,15 @@ fn traced_run(
             .with_cache(cache)
             .with_tracer(Arc::clone(&tracer));
             match threads {
-                Some(n) => ga.optimize_batch(&space, &fitness, budget, &Executor::new(n)),
+                Some(n) => {
+                    let executor = Executor::new(n);
+                    let out = ga.optimize_batch(&space, &paced_fitness, budget, &executor);
+                    assert!(
+                        n == 1 || executor.peak_workers() > 1,
+                        "{n}-thread GA scored every trial on one worker"
+                    );
+                    out
+                }
                 None => {
                     let mut ga = ga;
                     ga.optimize(&space, &mut FnObjective(fitness), budget)
