@@ -13,8 +13,8 @@ use crate::fidelity::{FidelityCashObjective, InnerOptimizer};
 use crate::udr::Solution;
 use automodel_data::Dataset;
 use automodel_hpo::{
-    Budget, Config, Executor, Hyperband, Objective, Optimizer, OptimizerBuilder, ParamSpec,
-    SearchSpace, SmacLite, SuccessiveHalving, TrialOutcome, TrialPolicy,
+    Budget, Config, Hyperband, Objective, Optimizer, OptimizerBuilder, ParamSpec, SearchSpace,
+    SmacLite, SuccessiveHalving, TrialOutcome, TrialPolicy,
 };
 use automodel_ml::{cross_val_accuracy, Registry};
 use automodel_trace::{TraceEvent, Tracer};
@@ -34,10 +34,6 @@ pub struct AutoWekaConfig {
     /// `Hyperband` run the multi-fidelity schedulers over row/fold/
     /// iteration-reduced evaluations instead.
     pub optimizer: InnerOptimizer,
-    /// The pool the `sha`/`hyperband` schedulers score their rung batches
-    /// on (SMAC-lite has no batch path and stays serial). Default:
-    /// [`Executor::from_env_or_default`].
-    pub executor: Executor,
 }
 
 impl AutoWekaConfig {
@@ -48,7 +44,6 @@ impl AutoWekaConfig {
             seed: 0,
             tracer: Arc::new(Tracer::disabled()),
             optimizer: InnerOptimizer::Auto,
-            executor: Executor::from_env_or_default(),
         }
     }
 
@@ -60,7 +55,6 @@ impl AutoWekaConfig {
             seed: 0,
             tracer: Arc::new(Tracer::disabled()),
             optimizer: InnerOptimizer::Auto,
-            executor: Executor::from_env_or_default(),
         }
     }
 
@@ -74,13 +68,6 @@ impl AutoWekaConfig {
     /// SMAC-lite with a multi-fidelity scheduler).
     pub fn with_optimizer(mut self, optimizer: InnerOptimizer) -> AutoWekaConfig {
         self.optimizer = optimizer;
-        self
-    }
-
-    /// Run the `sha`/`hyperband` searches on `executor` instead of the
-    /// `AUTOMODEL_THREADS`-sized default.
-    pub fn with_executor(mut self, executor: Executor) -> AutoWekaConfig {
-        self.executor = executor;
         self
     }
 
@@ -180,20 +167,20 @@ impl AutoWekaConfig {
                 smac.optimize(&space, &mut objective, &self.budget)
             }
             InnerOptimizer::Sha => {
-                let objective =
+                let mut objective =
                     FidelityCashObjective::new(registry, data, self.cv_folds, self.seed);
                 let sha = SuccessiveHalving::new(self.seed)
                     .with_policy(policy)
                     .with_tracer(Arc::clone(&self.tracer));
-                sha.optimize_fidelity_batch(&space, &objective, &self.budget, &self.executor)
+                sha.optimize_fidelity(&space, &mut objective, &self.budget)
             }
             InnerOptimizer::Hyperband => {
-                let objective =
+                let mut objective =
                     FidelityCashObjective::new(registry, data, self.cv_folds, self.seed);
                 let hb = Hyperband::new(self.seed)
                     .with_policy(policy)
                     .with_tracer(Arc::clone(&self.tracer));
-                hb.optimize_fidelity_batch(&space, &objective, &self.budget, &self.executor)
+                hb.optimize_fidelity(&space, &mut objective, &self.budget)
             }
         };
         if traced {

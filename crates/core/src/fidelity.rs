@@ -254,8 +254,8 @@ impl FidelityObjective for FidelityCvObjective<'_> {
 }
 
 /// The hierarchical CASH objective *at a fidelity* — the Auto-Weka
-/// baseline's objective with the same three cost levers, shared by every
-/// worker of a batch like [`FidelityCvObjective`].
+/// baseline's objective with the same three cost levers. Auto-Weka's
+/// schedulers evaluate it one trial at a time.
 pub struct FidelityCashObjective<'a> {
     registry: &'a Registry,
     data: &'a Dataset,
@@ -288,8 +288,8 @@ impl<'a> FidelityCashObjective<'a> {
     }
 }
 
-impl BatchFidelityObjective for FidelityCashObjective<'_> {
-    fn evaluate_at(&self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
+impl FidelityObjective for FidelityCashObjective<'_> {
+    fn evaluate_at(&mut self, config: &Config, fidelity: &Fidelity) -> TrialOutcome {
         let fail = |message: String| {
             self.failures
                 .fail(|| failure_key(config, fidelity), message)

@@ -6,7 +6,7 @@ use crate::fault::catch_payload;
 use automodel_trace::EnvError;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A fixed-width pool of scoped workers that evaluates index-addressed
 /// batches with ordered reduction. Cheap to construct (threads are spawned
@@ -186,9 +186,13 @@ impl Executor {
     }
 }
 
-/// The host's available parallelism (1 when it cannot be determined).
+/// The host's available parallelism (1 when it cannot be determined),
+/// read once per process: on Linux each query reads the affinity mask
+/// and the cgroup CPU quota files (~30 µs), and every `UdrConfig` and
+/// `DmdConfig` default asks — once per served session.
 fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -291,6 +295,22 @@ mod tests {
         assert_eq!(budget.evals(), 0);
     }
 
+    /// Spin until `done()` holds or five seconds pass, so a broken
+    /// executor fails the calling test instead of hanging it.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A task body that holds its worker until `n` tasks have started
+    /// (or the deadline passes), so `n` distinct workers must run them.
+    fn hold_until_started(started: &AtomicUsize, n: usize) {
+        started.fetch_add(1, Ordering::SeqCst);
+        wait_until(|| started.load(Ordering::SeqCst) >= n);
+    }
+
     #[test]
     fn peak_workers_counts_the_workers_that_ran_tasks() {
         let serial = Executor::serial();
@@ -301,26 +321,15 @@ mod tests {
         // Every task waits until both workers hold a claim, so two
         // distinct workers must have run tasks; clones share the count.
         let pair = Executor::new(2);
-        let waiting = AtomicUsize::new(0);
+        let started = AtomicUsize::new(0);
         pair.clone().map(2, |i| {
-            waiting.fetch_add(1, Ordering::SeqCst);
-            while waiting.load(Ordering::SeqCst) < 2 {
-                std::thread::yield_now();
-            }
+            hold_until_started(&started, 2);
             i
         });
         assert_eq!(pair.peak_workers(), 2);
         // A one-task batch cannot lower the recorded peak.
         pair.map(1, |i| i);
         assert_eq!(pair.peak_workers(), 2);
-    }
-
-    /// Spin until `flag` is set or `deadline` passes (so a broken executor
-    /// fails the calling test instead of hanging it).
-    fn wait_for(flag: &AtomicBool, deadline: std::time::Instant) {
-        while !flag.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
     }
 
     #[test]
@@ -331,13 +340,12 @@ mod tests {
         // panics.
         let caller = std::thread::current().id();
         let caller_claimed = AtomicBool::new(false);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
         Executor::new(4).map(64, |i| {
             if std::thread::current().id() == caller {
                 caller_claimed.store(true, Ordering::SeqCst);
                 panic!("the caller's own task exploded");
             }
-            wait_for(&caller_claimed, deadline);
+            wait_until(|| caller_claimed.load(Ordering::SeqCst));
             i
         });
     }
@@ -348,19 +356,18 @@ mod tests {
         // so the caller must hold one of them.
         let caller = std::thread::current().id();
         let pool = Executor::new(2);
-        let waiting = AtomicUsize::new(0);
+        let started = AtomicUsize::new(0);
         let ran_on_caller = pool.map(2, |_| {
-            waiting.fetch_add(1, Ordering::SeqCst);
-            while waiting.load(Ordering::SeqCst) < 2 {
-                std::thread::yield_now();
-            }
+            hold_until_started(&started, 2);
             std::thread::current().id() == caller
         });
         assert_eq!(ran_on_caller.iter().filter(|&&c| c).count(), 1);
         assert_eq!(pool.peak_workers(), 2);
 
-        // A width-w batch runs on the caller plus at most w - 1 helpers.
+        // A width-w batch runs on the caller plus at most w - 1 helpers;
+        // helper tasks hold until the caller has claimed one.
         let ids = Mutex::new(Vec::new());
+        let caller_claimed = AtomicBool::new(false);
         Executor::new(3).map(64, |i| {
             let id = std::thread::current().id();
             let mut ids = ids.lock();
@@ -368,7 +375,11 @@ mod tests {
                 ids.push(id);
             }
             drop(ids);
-            std::thread::sleep(Duration::from_micros(200));
+            if id == caller {
+                caller_claimed.store(true, Ordering::SeqCst);
+            } else {
+                wait_until(|| caller_claimed.load(Ordering::SeqCst));
+            }
             i
         });
         let ids = ids.into_inner();

@@ -243,9 +243,8 @@ impl Server {
         // a load-dependent GA-vs-BO flip would break session identity.
         // At time zero the probe is "fast", so `auto` routes to the GA.
         udr.probe_clock = Arc::new(ManualClock::new());
-        // A session is the server's unit of concurrency: concurrent
-        // connections already fill the cores, and a millisecond-scale
-        // session cannot absorb a thread spawn per trial batch.
+        // Sessions tune serially: the server's parallelism is its
+        // concurrent sessions (a wider pool per session is unmeasured).
         udr.executor = Executor::serial();
 
         if let Some(sink) = self.recovery(request, &cache)? {

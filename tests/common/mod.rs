@@ -1,7 +1,7 @@
 //! Shared harness for the integration suites (`tests/determinism.rs`,
 //! `tests/fault_injection.rs`, `tests/trace_oracle.rs`,
 //! `tests/multifidelity_oracle.rs`): one search space, one fitness
-//! function (plus its paced twin for multi-worker runs), one canonical
+//! function (plus a rendezvous that proves multi-worker runs), one canonical
 //! byte serialization and one set of containment assertions, so the
 //! suites cannot drift apart on what "the same run" means.
 //!
@@ -9,7 +9,11 @@
 //! a different subset of it.
 #![allow(dead_code)]
 
-use auto_model::hpo::{Config, Domain, FaultPlan, OptOutcome, SearchSpace, TrialPolicy};
+use auto_model::hpo::{BatchGate, Config, Domain, FaultPlan, OptOutcome, SearchSpace, TrialPolicy};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 /// The space every cross-suite determinism/fault run searches.
 pub fn space() -> SearchSpace {
@@ -26,19 +30,67 @@ pub fn fitness(c: &Config) -> f64 {
     c.float_or("lr", 0.0) + c.int_or("depth", 0) as f64 / 16.0
 }
 
-/// [`fitness`] with a fixed pause per call. An instant objective lets the
-/// executor's calling thread drain a batch before its helper threads
-/// start, so a "same bytes at 1 and N threads" run would compare a serial
-/// run with itself; the pause makes every batch spread over the pool. It
-/// changes no score.
-pub fn paced_fitness(c: &Config) -> f64 {
-    pace();
-    fitness(c)
+/// A meeting point that makes a multi-worker run provably multi-worker.
+/// Once armed, the first thread to [`arrive`](Rendezvous::arrive) waits
+/// until a different thread arrives too, so the executor's calling thread
+/// cannot drain the batch alone and a "same bytes at 1 and N threads" run
+/// cannot quietly compare a serial run with itself. After the meeting
+/// every arrival returns at once. If no second thread comes within 10 s
+/// the wait gives up, so a broken executor fails the run's
+/// `peak_workers() > 1` check instead of hanging it. It changes no score.
+#[derive(Debug, Default)]
+pub struct Rendezvous {
+    armed: AtomicBool,
+    done: AtomicBool,
+    first: Mutex<Option<ThreadId>>,
 }
 
-/// The pause [`paced_fitness`] takes.
-pub fn pace() {
-    std::thread::sleep(std::time::Duration::from_micros(500));
+impl Rendezvous {
+    /// Armed from the start when `width > 1`; never waits otherwise.
+    pub fn for_width(width: usize) -> Rendezvous {
+        let meet = Rendezvous::default();
+        if width > 1 {
+            meet.arm();
+        }
+        meet
+    }
+
+    /// From now on, the first arrival waits for a second thread.
+    pub fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Call at the start of every evaluation.
+    pub fn arrive(&self) {
+        if !self.armed.load(Ordering::SeqCst) || self.done.load(Ordering::SeqCst) {
+            return;
+        }
+        let me = std::thread::current().id();
+        {
+            let mut first = self.first.lock().expect("rendezvous lock");
+            match *first {
+                None => *first = Some(me),
+                Some(id) if id != me => {
+                    self.done.store(true, Ordering::SeqCst);
+                    return;
+                }
+                Some(_) => {}
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !self.done.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self.done.store(true, Ordering::SeqCst);
+    }
+}
+
+/// As a run's gate, a rendezvous arms at the first trial batch, so an
+/// evaluation the run makes before it (UDR's cost probe) never waits.
+impl BatchGate for Rendezvous {
+    fn before_batch(&self) {
+        self.arm();
+    }
 }
 
 /// Canonical bytes for a run: every trial's index, serialized config,

@@ -489,12 +489,10 @@ fn dmd_build_is_byte_identical_at_1_2_and_8_threads() {
 // ---- UDR: the online tuning searches run on the executor ----
 
 use auto_model::core::{CoreError, InnerOptimizer};
-use auto_model::hpo::{Config, Domain, ManualClock, ParamValue, SearchSpace};
+use auto_model::hpo::{BatchGate, Config, Domain, ManualClock, ParamValue, SearchSpace};
 use auto_model::ml::{AlgorithmSpec, Classifier, Family, MlError};
-use auto_model::prelude::{
-    AutoWekaConfig, Dataset, Registry, Solution, SynthFamily, SynthSpec, UdrConfig,
-};
-use std::time::Duration;
+use auto_model::prelude::{Dataset, Registry, Solution, SynthFamily, SynthSpec, UdrConfig};
+use common::Rendezvous;
 
 /// Every field of a [`Solution`], the score as exact bits.
 fn solution_bytes(s: &Solution) -> String {
@@ -511,37 +509,116 @@ fn solution_bytes(s: &Solution) -> String {
     )
 }
 
-/// A UDR for `optimizer` on `executor`: traced in memory, own cache, probe
-/// clock pinned so `auto` routes to the GA, and the full Hyperband grid.
-fn udr_for(
+/// `inner`, with every fit first meeting at a [`Rendezvous`]; otherwise
+/// the same algorithm, so a run's bytes do not depend on the wrapper.
+struct Met {
+    inner: Arc<dyn AlgorithmSpec>,
+    meet: Arc<Rendezvous>,
+}
+
+struct MetFit {
+    inner: Box<dyn Classifier>,
+    meet: Arc<Rendezvous>,
+}
+
+impl Classifier for MetFit {
+    fn fit(&mut self, data: &Dataset, rows: &[usize]) -> Result<(), MlError> {
+        self.meet.arrive();
+        self.inner.fit(data, rows)
+    }
+
+    fn predict(&self, data: &Dataset, row: usize) -> usize {
+        self.inner.predict(data, row)
+    }
+
+    fn predict_proba(&self, data: &Dataset, row: usize) -> Vec<f64> {
+        self.inner.predict_proba(data, row)
+    }
+}
+
+impl AlgorithmSpec for Met {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn family(&self) -> Family {
+        self.inner.family()
+    }
+
+    fn param_space(&self) -> SearchSpace {
+        self.inner.param_space()
+    }
+
+    fn default_config(&self) -> Config {
+        self.inner.default_config()
+    }
+
+    fn check_applicable(&self, data: &Dataset) -> Result<(), MlError> {
+        self.inner.check_applicable(data)
+    }
+
+    fn build(&self, config: &Config, seed: u64) -> Box<dyn Classifier> {
+        Box::new(MetFit {
+            inner: self.inner.build(config, seed),
+            meet: Arc::clone(&self.meet),
+        })
+    }
+
+    fn expensive(&self) -> bool {
+        self.inner.expensive()
+    }
+
+    fn iteration_param(&self) -> Option<&'static str> {
+        self.inner.iteration_param()
+    }
+}
+
+/// Tune `inner` with `optimizer` on `executor` (traced in memory, own
+/// cache, probe clock pinned so `auto` routes to the GA, the full
+/// Hyperband grid). On a pool wider than one, the tune's gate arms a
+/// rendezvous at the first trial batch, so two workers must fit models
+/// in it; the probe's fits, before any batch, never wait.
+fn tune_on(
     optimizer: InnerOptimizer,
+    inner: Arc<dyn AlgorithmSpec>,
+    data: &Dataset,
     executor: &Executor,
-    cache: &Arc<TrialCache>,
     tracer: Tracer,
-) -> UdrConfig {
+) -> (Result<Solution, CoreError>, Arc<TrialCache>) {
+    let meet = Arc::new(Rendezvous::default());
+    let name = inner.name();
+    let mut registry = Registry::new();
+    registry.register(Arc::new(Met {
+        inner,
+        meet: Arc::clone(&meet),
+    }));
+    let cache = Arc::new(TrialCache::default());
     let mut udr = UdrConfig::fast()
         .with_optimizer(optimizer)
-        .with_cache(Arc::clone(cache))
+        .with_cache(Arc::clone(&cache))
         .with_tracer(Arc::new(tracer))
         .with_executor(executor.clone());
     udr.probe_clock = Arc::new(ManualClock::new());
     if optimizer == InnerOptimizer::Hyperband {
         udr.tuning_budget = Budget::evals(69);
     }
-    udr
+    if executor.threads() > 1 {
+        udr = udr.with_gate(meet as Arc<dyn BatchGate>);
+    }
+    (udr.tune(&registry, name, data), cache)
 }
 
-/// One traced `tune` of Bagging (an ensemble, so a trial costs enough
-/// that every batch spreads over the pool): the solution, the trace bytes
-/// and the cache counters.
+/// One traced `tune` of Bagging: the solution, the trace bytes and the
+/// cache counters.
 fn udr_tune(optimizer: InnerOptimizer, data: &Dataset, executor: &Executor) -> [String; 3] {
-    let cache = Arc::new(TrialCache::default());
+    let bagging = Registry::fast()
+        .require("Bagging")
+        .expect("Bagging is registered")
+        .clone();
     let (tracer, handle) = Tracer::in_memory();
-    let solution = udr_for(optimizer, executor, &cache, tracer)
-        .tune(&Registry::fast(), "Bagging", data)
-        .expect("UDR tunes Bagging");
+    let (solution, cache) = tune_on(optimizer, bagging, data, executor, tracer);
     [
-        solution_bytes(&solution),
+        solution_bytes(&solution.expect("UDR tunes Bagging")),
         handle.contents(),
         format!("{:?}", cache.stats()),
     ]
@@ -577,39 +654,6 @@ fn udr_tune_is_byte_identical_at_1_2_and_8_threads() {
     }
 }
 
-/// Auto-Weka's `sha` and `hyperband` paths score their rung chunks on
-/// `AutoWekaConfig::executor`, over the hierarchical CASH space.
-#[test]
-fn autoweka_multifidelity_is_byte_identical_at_1_2_and_8_threads() {
-    let registry = Registry::fast();
-    let data = SynthSpec::new("aw", 150, 3, 1, 2, SynthFamily::Mixed, 17).generate();
-    for optimizer in [InnerOptimizer::Sha, InnerOptimizer::Hyperband] {
-        let solve = |executor: &Executor| {
-            let (tracer, handle) = Tracer::in_memory();
-            let solution = AutoWekaConfig::fast()
-                .with_optimizer(optimizer)
-                .with_tracer(Arc::new(tracer))
-                .with_executor(executor.clone())
-                .solve(&registry, &data)
-                .expect("Auto-Weka solves");
-            (solution_bytes(&solution), handle.contents())
-        };
-        let serial = solve(&Executor::new(1));
-        for threads in [2usize, 8] {
-            let executor = Executor::new(threads);
-            assert_eq!(
-                serial,
-                solve(&executor),
-                "{optimizer}: {threads}-thread Auto-Weka solve diverged"
-            );
-            assert!(
-                executor.peak_workers() > 1,
-                "{optimizer}: {threads}-thread solve ran every trial on one worker"
-            );
-        }
-    }
-}
-
 /// An algorithm whose every fit fails, with a message naming the config,
 /// so an all-failed search has many distinct failures to choose from.
 struct Unfittable;
@@ -618,8 +662,6 @@ struct FailingFit(String);
 
 impl Classifier for FailingFit {
     fn fit(&mut self, _data: &Dataset, _rows: &[usize]) -> Result<(), MlError> {
-        // Long enough that a batch spreads over several workers.
-        std::thread::sleep(Duration::from_millis(1));
         Err(MlError::TrainingFailed(format!("cannot fit {}", self.0)))
     }
 
@@ -660,8 +702,6 @@ impl AlgorithmSpec for Unfittable {
 /// not depend on which worker failed last.
 #[test]
 fn all_failing_tune_reports_the_same_failure_at_1_2_and_8_threads() {
-    let mut registry = Registry::new();
-    registry.register(Arc::new(Unfittable));
     let data = SynthSpec::new("fail", 60, 3, 0, 2, SynthFamily::Hyperplane, 5).generate();
     for optimizer in [
         InnerOptimizer::Auto,
@@ -669,10 +709,14 @@ fn all_failing_tune_reports_the_same_failure_at_1_2_and_8_threads() {
         InnerOptimizer::Hyperband,
     ] {
         let tune = |executor: &Executor| {
-            let cache = Arc::new(TrialCache::default());
-            let err = udr_for(optimizer, executor, &cache, Tracer::disabled())
-                .tune(&registry, "Unfittable", &data)
-                .expect_err("every trial fails");
+            let (solution, _) = tune_on(
+                optimizer,
+                Arc::new(Unfittable),
+                &data,
+                executor,
+                Tracer::disabled(),
+            );
+            let err = solution.expect_err("every trial fails");
             assert!(
                 matches!(err, CoreError::Trial(_)),
                 "{optimizer}: expected a trial failure, got {err}"

@@ -33,7 +33,8 @@ use auto_model::hpo::{
 };
 use auto_model::trace::{decode, TraceEvent, TraceRecord, Tracer};
 use common::{
-    assert_matches_golden, fitness, hostile_policy, pace, quiet_injected_panics, space, trial_bytes,
+    assert_matches_golden, fitness, hostile_policy, quiet_injected_panics, space, trial_bytes,
+    Rendezvous,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -43,12 +44,6 @@ use std::sync::Arc;
 /// proxy and every (config, fidelity) pair scores deterministically.
 fn mf_fitness(c: &Config, f: &Fidelity) -> f64 {
     fitness(c) * (0.5 + 0.5 * f.num() as f64 / f.den() as f64)
-}
-
-/// [`mf_fitness`] with the shared per-call pause, for the executor runs.
-fn paced_mf_fitness(c: &Config, f: &Fidelity) -> f64 {
-    pace();
-    mf_fitness(c, f)
 }
 
 fn canon(score: f64) -> f64 {
@@ -70,6 +65,13 @@ fn mf_run(
     let space = space();
     let (tracer, handle) = Tracer::in_memory();
     let executor = threads.map(Executor::new);
+    // The executor runs meet at a rendezvous, so their first batch
+    // provably spreads over more than one worker.
+    let meet = Rendezvous::for_width(threads.unwrap_or(1));
+    let met_mf_fitness = |c: &Config, f: &Fidelity| {
+        meet.arrive();
+        mf_fitness(c, f)
+    };
     let out = {
         match kind {
             "sha" => {
@@ -81,7 +83,7 @@ fn mf_run(
                 }
                 match &executor {
                     Some(executor) => {
-                        sha.optimize_fidelity_batch(&space, &paced_mf_fitness, budget, executor)
+                        sha.optimize_fidelity_batch(&space, &met_mf_fitness, budget, executor)
                     }
                     None => {
                         let mut obj = |c: &Config, f: &Fidelity| mf_fitness(c, f);
@@ -96,7 +98,7 @@ fn mf_run(
                 }
                 match &executor {
                     Some(executor) => {
-                        hb.optimize_fidelity_batch(&space, &paced_mf_fitness, budget, executor)
+                        hb.optimize_fidelity_batch(&space, &met_mf_fitness, budget, executor)
                     }
                     None => {
                         let mut obj = |c: &Config, f: &Fidelity| mf_fitness(c, f);

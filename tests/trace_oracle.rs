@@ -13,11 +13,11 @@
 mod common;
 
 use auto_model::hpo::{
-    BayesianOptimization, Budget, Executor, FaultPlan, FnObjective, GaConfig, GeneticAlgorithm,
-    Optimizer, OptimizerBuilder, SmacLite, TrialCache, TrialPolicy,
+    BayesianOptimization, Budget, Config, Executor, FaultPlan, FnObjective, GaConfig,
+    GeneticAlgorithm, Optimizer, OptimizerBuilder, SmacLite, TrialCache, TrialPolicy,
 };
 use auto_model::trace::{decode, TraceEvent, TraceRecord, Tracer};
-use common::{fitness, hostile_policy, paced_fitness, quiet_injected_panics, space, trial_bytes};
+use common::{fitness, hostile_policy, quiet_injected_panics, space, trial_bytes, Rendezvous};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -50,7 +50,12 @@ fn traced_run(
             match threads {
                 Some(n) => {
                     let executor = Executor::new(n);
-                    let out = ga.optimize_batch(&space, &paced_fitness, budget, &executor);
+                    let meet = Rendezvous::for_width(n);
+                    let objective = |c: &Config| {
+                        meet.arrive();
+                        fitness(c)
+                    };
+                    let out = ga.optimize_batch(&space, &objective, budget, &executor);
                     assert!(
                         n == 1 || executor.peak_workers() > 1,
                         "{n}-thread GA scored every trial on one worker"
